@@ -20,11 +20,12 @@ Three backends ship:
   tree is NP-hard, so the bound is best-effort (a member with no eligible
   attach point falls back to its plain shortest path).
 * :class:`ProtectedTreeBuilder` (``"protected"``) — an SPT whose
-  :meth:`~ProtectedTreeBuilder.precompute` pass stores a backup branch for
-  every tree link (the shortest path that avoids it).  A single link or
-  leaf-node failure is then healed by splicing the precomputed branch and
-  regrafting only the orphaned subtree; anything the backups cannot cover
-  degrades to a full rebuild.
+  :meth:`~ProtectedTreeBuilder.precompute` pass stores, for every tree
+  link, the finished patch that splices in a backup branch (the shortest
+  path that avoids the link) and regrafts only the orphaned subtree.  A
+  single link or leaf-node failure is then healed by a liveness check and
+  that patch; anything the backups cannot cover degrades to a full
+  rebuild.
 
 Builders are selected by name through :func:`make_builder` (the knob behind
 ``MulticastManager(builder=...)``, ``Scenario(builder=...)`` and
@@ -187,58 +188,75 @@ class DegreeBoundedBuilder(TreeBuilder):
 
 
 class ProtectedTreeBuilder(TreeBuilder):
-    """SPT plus precomputed per-link backup branches for local repair.
+    """SPT plus precomputed per-link repair patches for local repair.
 
     After every (re)build, :meth:`precompute` stores — for each tree edge
     ``(u, v)`` — the cheapest path from the source to ``v`` that avoids the
-    edge in both directions.  When a single tree link later fails,
-    :meth:`repair` splices that stored branch in at the deepest surviving
-    tree node and regrafts only the orphaned subtree (re-rooting it when the
-    backup enters the subtree somewhere other than its old root), leaving the
-    rest of the tree — and its receivers — untouched.
+    edge in both directions, and turns it into the finished
+    :class:`TreePatch`: the backup branch spliced in at the deepest
+    surviving tree node, and the orphaned subtree re-rooted when the backup
+    enters it somewhere other than its old root.  Patches that would not
+    leave a tree are dropped there.  All of this runs off the repair clock;
+    when a single tree link later fails, :meth:`repair` only checks that the
+    tree is still the one the patch was computed against and that every
+    spliced edge is alive, leaving the rest of the tree — and its
+    receivers — untouched.
     """
 
     name = "protected"
 
     def __init__(self) -> None:
-        # group -> {tree edge -> backup path (node list, source..v)}
-        self._backups: Dict[int, Dict[Edge, Tuple[Any, ...]]] = {}
+        # group -> (tree edges the patches were computed against,
+        #           {tree edge -> patch healing its loss})
+        self._patches: Dict[int, Tuple[FrozenSet[Edge], Dict[Edge, TreePatch]]] = {}
 
     def build(self, source: Any, members: Iterable[Any], network) -> Set[Edge]:
         return _spt_edges(source, members, network)
 
     def precompute(self, state, network) -> None:
+        # tree edge -> backup path (node list, source..v)
         backups: Dict[Edge, Tuple[Any, ...]] = {}
-        graph = network.graph
         for u, v in state.edges:
-            removed = []
-            for a, b in ((u, v), (v, u)):
-                if graph.has_edge(a, b):
-                    removed.append((a, b, dict(graph.edges[a, b])))
-                    graph.remove_edge(a, b)
-            try:
-                path = network.shortest_path_or_none(state.source, v)
-            finally:
-                for a, b, attrs in removed:
-                    graph.add_edge(a, b, **attrs)
+            path = network.shortest_path_avoiding(state.source, v, ((u, v), (v, u)))
             if path is not None:
                 backups[(u, v)] = tuple(path)
-        self._backups[state.group] = backups
+        children: Dict[Any, List[Any]] = {}
+        for a, b in state.edges:
+            children.setdefault(a, []).append(b)
+        tree_nodes = state.tree_nodes()
+        patches: Dict[Edge, TreePatch] = {}
+        for edge, backup in backups.items():
+            patch = self._splice(edge, backup, children, tree_nodes)
+            if patch is not None and self._tree_shaped(state, patch):
+                patches[edge] = patch
+        self._patches[state.group] = (frozenset(state.edges), patches)
 
     # ------------------------------------------------------------------
     def repair(self, state, failed_edges: Iterable[Edge], network) -> Optional[TreePatch]:
         failed = {e for e in failed_edges if e in state.edges}
         if len(failed) != 1:
             return None  # only single-failure protection is precomputed
-        (u, v) = next(iter(failed))
-        backup = self._backups.get(state.group, {}).get((u, v))
-        if backup is None:
+        prepared = self._patches.get(state.group)
+        if prepared is None or prepared[0] != state.edges:
+            return None  # the tree changed since precompute: rebuild
+        patch = prepared[1].get(next(iter(failed)))
+        if patch is None:
             return None
-        children: Dict[Any, List[Any]] = {}
-        for a, b in state.edges:
-            children.setdefault(a, []).append(b)
-        orphan_nodes = self._subtree_nodes(v, children)
-        remaining = (state.tree_nodes() - orphan_nodes) - {x for _, x in failed}
+        has_edge = network.graph.has_edge
+        for a, b in patch.added:
+            if not has_edge(a, b):
+                return None  # the splice relies on a link that is down now
+        return patch
+
+    @classmethod
+    def _splice(
+        cls, failed: Edge, backup: Tuple[Any, ...],
+        children: Dict[Any, List[Any]], tree_nodes: Set[Any],
+    ) -> Optional[TreePatch]:
+        """The patch healing the loss of tree edge ``failed`` with ``backup``."""
+        v = failed[1]
+        orphan_nodes = cls._subtree_nodes(v, children)
+        remaining = (tree_nodes - orphan_nodes) - {v}
         # Splice from the deepest backup-path node that survived in the main
         # tree, stopping at the first node inside the orphaned subtree.
         start = None
@@ -254,20 +272,17 @@ class ProtectedTreeBuilder(TreeBuilder):
             return None
         entry = backup[entry_idx]
         added = set(zip(backup[start:entry_idx], backup[start + 1:entry_idx + 1]))
-        removed = set(failed)
+        removed = {failed}
         if entry != v:
             # Re-root the orphaned subtree at the entry point: reverse the
             # old v -> ... -> entry chain.
-            chain = self._tree_path(v, entry, children)
+            chain = cls._tree_path(v, entry, children)
             if chain is None:
                 return None
             for a, b in zip(chain, chain[1:]):
                 removed.add((a, b))
                 added.add((b, a))
-        patch = TreePatch(removed, added)
-        if not self._valid(state, patch, network):
-            return None
-        return patch
+        return TreePatch(removed, added)
 
     @staticmethod
     def _subtree_nodes(root: Any, children: Dict[Any, List[Any]]) -> Set[Any]:
@@ -293,16 +308,11 @@ class ProtectedTreeBuilder(TreeBuilder):
         return None
 
     @staticmethod
-    def _valid(state, patch: TreePatch, network) -> bool:
-        """Reject patches the current topology cannot carry.
-
-        Every spliced edge must be alive, and the patched edge set must
-        still be a tree under the source (in-degree <= 1, no parent for the
-        source, acyclic by construction of the splice).
-        """
-        for a, b in patch.added:
-            if not network.graph.has_edge(a, b):
-                return False
+    def _tree_shaped(state, patch: TreePatch) -> bool:
+        """True when the patched edge set is still a tree under the source
+        (in-degree <= 1, no parent for the source, acyclic by construction
+        of the splice).  Whether the spliced edges are alive is checked
+        at failure time, by :meth:`repair`."""
         edges = patch.apply(state.edges)
         indeg: Dict[Any, int] = {}
         for a, b in edges:

@@ -367,9 +367,15 @@ class MulticastManager:
         patch = self.builder.repair(state, lost, self.network) if lost else None
         if patch is not None:
             new_edges = patch.apply(state.edges)
+            if state.uncovered:
+                # A patch regrafts the whole orphaned subtree, so it can only
+                # add coverage.  Membership changes go through _rebuild, so
+                # with every member covered no disruption window is open
+                # either and there is nothing to track.
+                self._track_coverage(state, new_edges)
             self._install(state, new_edges)
             wall = perf_counter() - wall0
-            # Refreshing backup branches is preparation for the *next*
+            # Refreshing repair patches is preparation for the *next*
             # failure — background work, not part of this repair's latency.
             self.builder.precompute(state, self.network)
             self.local_repairs += 1
@@ -530,15 +536,20 @@ class MulticastManager:
             )
 
     def _install(self, state: GroupState, new_edges: Set[Edge]) -> None:
-        """Swap the tree's forwarding entries to ``new_edges`` + snapshot."""
-        self._track_coverage(state, new_edges)
-        # Clear old entries on nodes that had them, then install fresh ones.
-        old_nodes = {u for u, _ in state.edges}
+        """Swap the tree's forwarding entries to ``new_edges`` + snapshot.
+
+        Only parents that lose or gain a child get a new entry; every other
+        node already forwards to exactly its children in ``new_edges``, so a
+        local repair rewrites O(patch) entries.  Coverage tracking is the
+        caller's job.
+        """
+        touched = {u for u, _ in state.edges ^ new_edges}
         state.edges = set(new_edges)
         children: Dict[Any, Set[Any]] = {}
         for u, v in new_edges:
-            children.setdefault(u, set()).add(v)
-        for name in old_nodes | set(children):
+            if u in touched:
+                children.setdefault(u, set()).add(v)
+        for name in touched:
             node = self.network.nodes[name]
             out = children.get(name)
             if out:

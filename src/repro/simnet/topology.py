@@ -3,6 +3,11 @@
 :class:`Network` owns the node and link objects and computes static
 shortest-path unicast routes (Dijkstra, weighted by propagation delay).  The
 paper's topologies are small trees, but the implementation is general graphs.
+
+Path queries are answered from one memoised shortest-path tree per source
+(:meth:`Network.paths_from`).  The memo lives until the next mutation of the
+routing graph, and every such mutation goes through a :class:`Network`
+method, which clears it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ class Network:
         self.nodes: Dict[Any, Node] = {}
         self.links: Dict[Tuple[Any, Any], Link] = {}
         self.graph = nx.DiGraph()
+        #: source -> ``single_source_dijkstra_path`` dict, valid until the
+        #: next routing-graph mutation (see :meth:`paths_from`).
+        self._paths: Dict[Any, Dict[Any, List[Any]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -49,6 +57,7 @@ class Network:
         node = Node(self.sched, name)
         self.nodes[name] = node
         self.graph.add_node(name)
+        self._paths.clear()
         return node
 
     def add_link(
@@ -94,6 +103,7 @@ class Network:
             self.links[(b, a)] = rev
             self.nodes[b].links[a] = rev
             self.graph.add_edge(b, a, delay=delay, bandwidth=bandwidth)
+        self._paths.clear()
         return fwd
 
     # ------------------------------------------------------------------
@@ -144,6 +154,8 @@ class Network:
                 if self.graph.has_edge(u, v):
                     self.graph.remove_edge(u, v)
                     changed.append((u, v))
+        if changed:
+            self._paths.clear()
         return changed
 
     def set_node_up(self, name: Any, up: bool) -> List[Tuple[Any, Any]]:
@@ -165,7 +177,8 @@ class Network:
     def set_link_bandwidth(self, a: Any, b: Any, bandwidth: float,
                            bidirectional: bool = True) -> None:
         """Change a link's capacity (degradation fault), in both the link
-        object and the routing graph's edge attributes."""
+        object and the routing graph's edge attributes.  Routes are weighted
+        by delay only, so the path memo stays valid."""
         pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
         for u, v in pairs:
             self.links[(u, v)].set_bandwidth(bandwidth)
@@ -179,7 +192,9 @@ class Network:
         """(Re)compute all-pairs shortest-path next hops, weighted by delay.
 
         Must be called after topology construction and before traffic starts;
-        ties are broken deterministically by neighbor sort order.
+        ties are broken deterministically by adjacency insertion order.  Only
+        the next hops are kept: the all-pairs paths do not go into the
+        :meth:`paths_from` memo, which stays per queried source.
         """
         for src_name, node in self.nodes.items():
             node.next_hop.clear()
@@ -190,21 +205,76 @@ class Network:
                     continue
                 node.next_hop[dst_name] = path[1]
 
+    def paths_from(self, source: Any) -> Dict[Any, List[Any]]:
+        """Delay-weighted shortest paths from ``source`` to every reachable
+        node, as ``single_source_dijkstra_path`` returns them.
+
+        Memoised per source until the next routing-graph mutation
+        (:meth:`add_node`, :meth:`add_link`, an edge that
+        :meth:`set_link_up`/:meth:`set_node_up` actually removes or
+        restores, :meth:`shortest_path_avoiding`).  The dict and its lists
+        are shared: read them, never mutate them.  Raises
+        ``NodeNotFound`` when ``source`` is not in the graph.
+        """
+        paths = self._paths.get(source)
+        if paths is None:
+            paths = nx.single_source_dijkstra_path(self.graph, source, weight="delay")
+            self._paths[source] = paths
+        return paths
+
     def shortest_path(self, a: Any, b: Any) -> list:
-        """Delay-weighted shortest path from ``a`` to ``b`` as a node list."""
-        return nx.dijkstra_path(self.graph, a, b, weight="delay")
+        """Delay-weighted shortest path from ``a`` to ``b`` as a node list.
+
+        Same path and exceptions as ``nx.dijkstra_path``: ``NodeNotFound``
+        for an unknown ``a``, ``NetworkXNoPath`` when ``b`` is unreachable.
+        """
+        path = self.paths_from(a).get(b)
+        if path is None:
+            raise nx.NetworkXNoPath(f"No path to {b}.")
+        return list(path)
 
     def shortest_path_or_none(self, a: Any, b: Any) -> Optional[list]:
         """Like :meth:`shortest_path` but ``None`` when no path exists
         (partitioned network after link/node failures)."""
         try:
-            return nx.dijkstra_path(self.graph, a, b, weight="delay")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            path = self.paths_from(a).get(b)
+        except nx.NodeNotFound:
             return None
+        return None if path is None else list(path)
 
     def path_delay(self, a: Any, b: Any) -> float:
         """Sum of propagation delays along the shortest path ``a -> b``."""
-        return nx.dijkstra_path_length(self.graph, a, b, weight="delay")
+        edges = self.graph.edges
+        path = self.shortest_path(a, b)
+        return sum(edges[u, v]["delay"] for u, v in zip(path, path[1:]))
+
+    def shortest_path_avoiding(
+        self, a: Any, b: Any, avoid: Iterable[Tuple[Any, Any]]
+    ) -> Optional[list]:
+        """Shortest path ``a -> b`` in the graph without the ``avoid`` edges,
+        or ``None`` when none exists.
+
+        The present ``avoid`` edges are removed in order, the path is
+        computed, and they are restored in the same order.  Restoring moves
+        an edge to the end of its nodes' adjacency, which can change later
+        tie-breaks, so the path memo is cleared whenever an edge was taken
+        out.
+        """
+        graph = self.graph
+        removed = []
+        for u, v in avoid:
+            if graph.has_edge(u, v):
+                removed.append((u, v, dict(graph.edges[u, v])))
+                graph.remove_edge(u, v)
+        try:
+            return nx.dijkstra_path(graph, a, b, weight="delay")
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            return None
+        finally:
+            for u, v, attrs in removed:
+                graph.add_edge(u, v, **attrs)
+            if removed:
+                self._paths.clear()
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -207,11 +207,13 @@ def test_protected_precomputes_backup_for_every_tree_edge():
     b = ProtectedTreeBuilder()
     state = _state("src", b.build("src", ["r1", "r2"], net))
     b.precompute(state, net)
-    backups = b._backups[state.group]
+    token, patches = b._patches[state.group]
+    assert token == frozenset(state.edges)
     # src--core and the leaf access links have no alternative path; both
     # aggregation hops are protected by the cross link.
-    assert set(backups) == {("core", "a"), ("core", "b")}
-    assert backups[("core", "a")] == ("src", "core", "b", "a")
+    assert set(patches) == {("core", "a"), ("core", "b")}
+    assert patches[("core", "a")].added == frozenset({("b", "a")})
+    assert patches[("core", "b")].added == frozenset({("a", "b")})
 
 
 def test_protected_local_repair_splices_backup_branch():

@@ -4,6 +4,7 @@ tree-churn backend sweep (``python -m repro churn``)."""
 import json
 import math
 
+import networkx as nx
 import pytest
 
 from repro.experiments.churn import (
@@ -13,6 +14,10 @@ from repro.experiments.churn import (
     run_churn,
 )
 from repro.faults import FaultInjector, FaultPlan
+from repro.multicast.builders import ProtectedTreeBuilder
+from repro.multicast.manager import MulticastManager
+from repro.simnet.engine import Scheduler
+from repro.simnet.topology import Network
 
 
 # ----------------------------------------------------------------------
@@ -157,3 +162,147 @@ def test_run_churn_smoke_all_backends():
         # Nobody lies under pure churn; the guard must stay silent.
         assert b["guard"]["precision"] == 1.0 and b["guard"]["recall"] == 1.0
         assert math.isfinite(b["convergence_s"])
+
+
+# ----------------------------------------------------------------------
+# Deterministic repair cost: counted calls, not wall-clock time
+# ----------------------------------------------------------------------
+@pytest.fixture
+def dijkstra_calls(monkeypatch):
+    """Route networkx's two Dijkstra entry points through a recorder.
+
+    Returns ``(log, watch)``: each call is logged as ``(kind, graph,
+    source)`` while ``watch[0]`` is true, so tests can scope recording."""
+    log = []
+    log_watch = [True]
+    for kind in ("single_source_dijkstra_path", "dijkstra_path"):
+        real = getattr(nx, kind)
+
+        def counting(graph, source, *args, _real=real, _kind=kind, **kwargs):
+            if log_watch[0]:
+                log.append((_kind, graph, source))
+            return _real(graph, source, *args, **kwargs)
+
+        monkeypatch.setattr(nx, kind, counting)
+    return log, log_watch
+
+
+def _run_churn_backend(builder, duration=90.0):
+    sc = build_churn_scenario(seed=1, builder=builder)
+    plan = default_churn_plan(churn_receiver_ids(6), duration=120.0, seed=1)
+    plan.apply(sc)
+    sc.run(duration)
+    return sc
+
+
+@pytest.mark.parametrize("builder", ["spt", "protected"])
+def test_at_most_one_sssp_per_source_and_topology_version(monkeypatch, builder):
+    version = [0]  # bumped by every routing-graph mutation
+    for name in ("add_node", "add_edge", "remove_edge"):
+        real = getattr(nx.DiGraph, name)
+
+        def bumping(self, *args, _real=real, **kwargs):
+            version[0] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(nx.DiGraph, name, bumping)
+    in_rebuild = [False]
+    per_key = {}
+    real_sssp = nx.single_source_dijkstra_path
+
+    def sssp(graph, source, **kwargs):
+        if in_rebuild[0]:
+            key = (id(graph), version[0], source)
+            per_key[key] = per_key.get(key, 0) + 1
+        return real_sssp(graph, source, **kwargs)
+
+    monkeypatch.setattr(nx, "single_source_dijkstra_path", sssp)
+    real_rebuild = MulticastManager._rebuild
+
+    def rebuild(self, state):
+        in_rebuild[0] = True
+        try:
+            real_rebuild(self, state)
+        finally:
+            in_rebuild[0] = False
+
+    monkeypatch.setattr(MulticastManager, "_rebuild", rebuild)
+    sc = _run_churn_backend(builder)
+    assert sc.mcast.builds > len(per_key) > 0  # groups shared cached trees
+    assert max(per_key.values()) == 1
+
+
+def test_protected_local_repair_runs_no_dijkstra_and_no_splice(
+    monkeypatch, dijkstra_calls
+):
+    log, watch = dijkstra_calls
+    watch[0] = False
+    splices = []
+    real_splice = ProtectedTreeBuilder._splice.__func__
+
+    def splice(cls, *args):
+        splices.append(watch[0])
+        return real_splice(cls, *args)
+
+    monkeypatch.setattr(ProtectedTreeBuilder, "_splice", classmethod(splice))
+    real_precompute = ProtectedTreeBuilder.precompute
+
+    def precompute(self, state, network):
+        # Off the repair clock: preparation for the next failure.
+        was, watch[0] = watch[0], False
+        try:
+            real_precompute(self, state, network)
+        finally:
+            watch[0] = was
+
+    monkeypatch.setattr(ProtectedTreeBuilder, "precompute", precompute)
+    local_costs = []
+    real_repair = MulticastManager._repair
+
+    def repair(self, state, lost):
+        local_before, log_before = self.local_repairs, len(log)
+        splices_before = splices.count(True)
+        watch[0] = True
+        try:
+            return real_repair(self, state, lost)
+        finally:
+            watch[0] = False
+            if self.local_repairs > local_before:
+                local_costs.append(
+                    (len(log) - log_before, splices.count(True) - splices_before)
+                )
+
+    monkeypatch.setattr(MulticastManager, "_repair", repair)
+    sc = _run_churn_backend("protected")
+    assert sc.mcast.local_repairs == len(local_costs) >= 1
+    assert local_costs == [(0, 0)] * len(local_costs)
+    assert splices and not any(splices)  # every splice ran in precompute
+
+
+def test_expedited_prune_delay_runs_no_per_member_dijkstra(dijkstra_calls):
+    log, watch = dijkstra_calls
+    sched = Scheduler()
+    net = Network(sched)
+    members = [f"h{i}" for i in range(8)]
+    for name in ["src", "core", "a", "b"] + members:
+        net.add_node(name)
+    for a, b in [("src", "core"), ("core", "a"), ("core", "b")]:
+        net.add_link(a, b, bandwidth=1e6, delay=0.1)
+    for i, host in enumerate(members):
+        net.add_link("ab"[i % 2], host, bandwidth=1e6, delay=0.1)
+    net.build_routes()
+    mcast = MulticastManager(net, igmp_report_delay=0.0, expedited_leave=True)
+    group = mcast.create_group("src")
+    for host in members:
+        mcast.join(group, host)
+    sched.run(until=1.0)
+    assert mcast.members(group) == frozenset(members)
+
+    del log[:]
+    assert mcast.leave(group, "h7") - sched.now == pytest.approx(0.1)
+    assert log == []  # the source's cached tree answers every path
+    net.add_node("spare")  # new topology version: the memo is cold
+    mcast.leave(group, "h6")
+    assert [(kind, source) for kind, _, source in log] == [
+        ("single_source_dijkstra_path", "src")
+    ]
