@@ -1,23 +1,26 @@
 """Discrete-event simulation engine.
 
-The engine is a classic calendar queue built on a binary heap.  Events are
-``(time, sequence, callback)`` triples; the monotonically increasing sequence
-number makes the pop order deterministic when several events share a
-timestamp, which in turn makes whole simulations reproducible from a seed.
+The engine is a classic calendar queue built on a binary heap.  Every heap
+entry is a ``(time, seq, event)`` tuple: ``heapq`` compares the float time
+and then the int sequence number in C, and because ``seq`` is unique the
+:class:`Event` itself is never compared.  The monotonically increasing
+sequence number makes the pop order deterministic when several events share
+a timestamp (they fire in scheduling order), which in turn makes whole
+simulations reproducible from a seed.
 
 This module is the innermost loop of the simulator — every packet
 transmission, arrival, timer and control decision passes through
-:meth:`Scheduler.run`.  Following the optimization guides, the hot path avoids
-allocation beyond the one :class:`Event` per scheduled callback and performs
-no bookkeeping other than heap maintenance.
+:meth:`Scheduler.run`.  The hot path allocates one :class:`Event` plus one
+key tuple per scheduled callback and does no bookkeeping other than heap
+maintenance.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
+from heapq import heappop, heappush
+from math import isfinite
 from time import perf_counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "Scheduler", "SimulationError"]
 
@@ -48,11 +51,6 @@ class Event:
         """Prevent the event from firing.  Idempotent."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} {getattr(self.fn, '__qualname__', self.fn)} {state}>"
@@ -75,7 +73,8 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        #: ``(time, seq, event)`` entries; see the module docstring.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._stopped = False
@@ -105,9 +104,9 @@ class Scheduler:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if the heap is empty."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        return heap[0].time if heap else None
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -118,18 +117,29 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        if not math.isfinite(time):
+        if not isfinite(time):
             raise SimulationError(f"event time must be finite, got {time!r}")
-        ev = Event(time, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, ev))
         return ev
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now (``delay >= 0``)."""
+        # Pushes directly rather than through at(): this is the hottest
+        # scheduling call.  ``now + delay`` with ``delay >= 0`` is never in
+        # the past, so only the finiteness check is repeated.
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.at(self._now + delay, fn, *args)
+        time = self._now + delay
+        if not isfinite(time):
+            raise SimulationError(f"event time must be finite, got {time!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, ev))
+        return ev
 
     def every(
         self,
@@ -140,11 +150,13 @@ class Scheduler:
     ) -> Event:
         """Schedule ``fn(*args)`` periodically every ``interval`` seconds.
 
-        The returned :class:`Event` is the *first* occurrence; cancelling it
-        before it fires stops the whole chain.  Once running, ``fn`` may call
-        :meth:`Event.cancel` on the event passed back via rescheduling only by
-        raising ``StopIteration`` — returning a truthy value from ``fn`` also
-        stops the repetition.
+        The first call is at ``start`` (default: ``interval`` from now).
+        The returned :class:`Event` is that first occurrence only:
+        cancelling it before it fires stops the whole chain, and cancelling
+        it afterwards has no effect.  Once the chain is running it stops
+        only when ``fn`` raises ``StopIteration`` or returns a truthy value.
+        Any other exception from ``fn`` ends the chain and propagates out of
+        :meth:`run` as a :class:`SimulationError`.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
@@ -167,11 +179,9 @@ class Scheduler:
                     f"raised at t={self._now:.6f}: {exc!r}"
                 ) from exc
             if not stop:
-                handle = self.after(interval, _tick, *a)
-                chain[0] = handle
+                self.after(interval, _tick, *a)
 
-        chain = [self.at(self._now + interval if start is None else start, _tick, *args)]
-        return chain[0]
+        return self.at(self._now + interval if start is None else start, _tick, *args)
 
     # ------------------------------------------------------------------
     # Execution
@@ -186,7 +196,7 @@ class Scheduler:
             raise SimulationError(f"cannot run backwards to t={until} from t={self._now}")
         heap = self._heap
         self._stopped = False
-        pop = heapq.heappop
+        pop = heappop
         # Hoisted observability state: the per-event cost of an unobserved
         # run stays at zero extra work, and a bus without a dispatch
         # subscriber costs one boolean test per event.  Subscribing to
@@ -197,17 +207,17 @@ class Scheduler:
         if prof is not None:
             wall0 = perf_counter()
         while heap and not self._stopped:
-            ev = heap[0]
-            if ev.time > until:
+            time, seq, ev = heap[0]
+            if time > until:
                 break
             pop(heap)
             if ev.cancelled:
                 continue
-            self._now = ev.time
+            self._now = time
             self.events_processed += 1
             if dispatch:
                 bus.emit(
-                    "sched.dispatch", ev.time, seq=ev.seq,
+                    "sched.dispatch", time, seq=seq,
                     fn=getattr(ev.fn, "__qualname__", repr(ev.fn)),
                 )
             ev.fn(*ev.args)
@@ -220,10 +230,10 @@ class Scheduler:
         """Execute the single next live event.  Returns False if none remain."""
         heap = self._heap
         while heap:
-            ev = heapq.heappop(heap)
+            time, _, ev = heappop(heap)
             if ev.cancelled:
                 continue
-            self._now = ev.time
+            self._now = time
             self.events_processed += 1
             ev.fn(*ev.args)
             return True

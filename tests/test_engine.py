@@ -1,8 +1,12 @@
 """Unit tests for the discrete-event scheduler."""
 
+import bisect
+import math
+import random
+
 import pytest
 
-from repro.simnet.engine import Scheduler, SimulationError
+from repro.simnet.engine import Event, Scheduler, SimulationError
 
 
 def test_initial_state():
@@ -257,3 +261,220 @@ def test_every_simulation_error_passes_through_unwrapped():
     s.every(1.0, tick)
     with pytest.raises(SimulationError, match="^already typed$"):
         s.run(until=10.0)
+
+
+def test_every_cancel_before_first_tick_with_start():
+    s = Scheduler()
+    hits = []
+    ev = s.every(1.0, hits.append, "x", start=0.5)
+    s.run(until=0.25)
+    ev.cancel()
+    s.run(until=5.0)
+    assert hits == []
+    assert s.pending == 0
+
+
+def test_every_handle_cancel_after_first_tick_does_not_stop_chain():
+    s = Scheduler()
+    hits = []
+    ev = s.every(1.0, lambda: hits.append(s.now))
+    s.run(until=1.5)
+    ev.cancel()
+    s.run(until=3.0)
+    assert hits == [1.0, 2.0, 3.0]
+
+
+def test_events_are_never_compared():
+    # Heap entries are (time, seq, event) tuples with a unique seq, so the
+    # heap orders them in C.  Event must define no ordering of its own.
+    assert "__lt__" not in vars(Event)
+    assert Event.__lt__ is object.__lt__
+    s = Scheduler()
+    a = s.at(1.0, lambda: None)
+    b = s.at(1.0, lambda: None)
+    with pytest.raises(TypeError):
+        a < b
+
+
+# ---------------------------------------------------------------------------
+# Reference model: the scheduler against a sorted list keyed on (time, seq)
+# ---------------------------------------------------------------------------
+
+GRID = 0.25
+
+
+def _actions(seed, tag):
+    """What firing ``tag`` does, derived from the tag alone so that the
+    scheduler and the model run the same callbacks."""
+    rng = random.Random(f"{seed}/{tag}")
+    acts = []
+    if tag.count(".") < 2:
+        for i in range(rng.choice((0, 0, 1, 2, 3))):
+            child = f"{tag}.{i}"
+            if rng.random() < 0.5:
+                acts.append(("after", rng.choice((0.0, GRID, 2 * GRID)), child))
+            else:
+                acts.append(("at", rng.choice((0, 1, 2)), child))
+        if len(acts) > 1 and rng.random() < 0.5:
+            acts.append(("cancel", acts[0][2]))
+    if rng.random() < 0.2:
+        acts.append(("cancel", tag))  # already popped: a no-op
+    if rng.random() < 0.1:
+        acts.append(("stop",))
+    return acts
+
+
+def _grid_at_or_after(now, k):
+    return math.ceil(now / GRID) * GRID + k * GRID
+
+
+class _Model:
+    """Sorted-list reference scheduler with the same lazy-cancel contract."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.entries = []  # sorted (time, seq, tag)
+        self.cancelled = set()  # seqs of cancelled handles
+        self.handles = {}  # tag -> seq
+        self.now = 0.0
+        self.seq = 0
+        self.events_processed = 0
+        self.stopped = False
+        self.log = []
+
+    @property
+    def pending(self):
+        return len(self.entries)
+
+    def push(self, time, tag):
+        bisect.insort(self.entries, (time, self.seq, tag))
+        self.handles[tag] = self.seq
+        self.seq += 1
+
+    def after(self, delay, tag):
+        self.push(self.now + delay, tag)
+
+    def at_grid(self, k, tag):
+        self.push(_grid_at_or_after(self.now, k), tag)
+
+    def cancel(self, tag):
+        self.cancelled.add(self.handles[tag])
+
+    def stop(self):
+        self.stopped = True
+
+    def fire(self, time, tag):
+        self.now = time
+        self.events_processed += 1
+        self.log.append((tag, time))
+        _apply(self, _actions(self.seed, tag))
+
+    def run(self, until):
+        self.stopped = False
+        while self.entries and not self.stopped:
+            time, seq, tag = self.entries[0]
+            if time > until:
+                break
+            del self.entries[0]
+            if seq not in self.cancelled:
+                self.fire(time, tag)
+        if not self.stopped:
+            self.now = until
+
+    def step(self):
+        while self.entries:
+            time, seq, tag = self.entries.pop(0)
+            if seq not in self.cancelled:
+                self.fire(time, tag)
+                return True
+        return False
+
+    def peek_time(self):
+        while self.entries and self.entries[0][1] in self.cancelled:
+            del self.entries[0]
+        return self.entries[0][0] if self.entries else None
+
+
+class _Real:
+    """Drives a :class:`Scheduler` through the model's interface."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.sched = Scheduler()
+        self.handles = {}
+        self.log = []
+
+    def _fire(self, tag):
+        self.log.append((tag, self.sched.now))
+        _apply(self, _actions(self.seed, tag))
+
+    def after(self, delay, tag):
+        self.handles[tag] = self.sched.after(delay, self._fire, tag)
+
+    def at_grid(self, k, tag):
+        t = _grid_at_or_after(self.sched.now, k)
+        self.handles[tag] = self.sched.at(t, self._fire, tag)
+
+    def cancel(self, tag):
+        self.handles[tag].cancel()
+
+    def stop(self):
+        self.sched.stop()
+
+
+def _apply(sim, acts):
+    for act in acts:
+        if act[0] == "after":
+            sim.after(act[1], act[2])
+        elif act[0] == "at":
+            sim.at_grid(act[1], act[2])
+        elif act[0] == "cancel":
+            sim.cancel(act[1])
+        else:
+            sim.stop()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scheduler_matches_sorted_list_model(seed):
+    rng = random.Random(seed)
+    real, model = _Real(seed), _Model(seed)
+    s = real.sched
+    roots = 0
+    for _ in range(150):
+        op = rng.choices(
+            ("at", "after", "cancel", "step", "run", "peek"), weights=(5, 5, 2, 2, 3, 1)
+        )[0]
+        if op in ("at", "after"):
+            tag = f"r{roots}"
+            roots += 1
+            if op == "at":
+                k = rng.choice((0, 0, 1, 2, 4))
+                real.at_grid(k, tag)
+                model.at_grid(k, tag)
+            else:
+                delay = rng.choice((0.0, GRID, GRID, 3 * GRID, 0.1))
+                real.after(delay, tag)
+                model.after(delay, tag)
+        elif op == "cancel" and roots:
+            tag = f"r{rng.randrange(roots)}"
+            real.cancel(tag)
+            model.cancel(tag)
+        elif op == "step":
+            assert s.step() == model.step()
+        elif op == "run":
+            until = s.now + rng.choice((0.0, GRID, 0.6, 1.5, 3.0))
+            s.run(until)
+            model.run(until)
+        elif op == "peek":
+            assert s.peek_time() == model.peek_time()
+        assert real.log == model.log
+        assert s.now == model.now
+        assert s.events_processed == model.events_processed
+        assert s.pending == model.pending
+    while s.pending:  # drain; a callback may stop() a run part-way
+        s.run(s.now + 100.0)
+        model.run(model.now + 100.0)
+    assert real.log == model.log
+    assert s.peek_time() == model.peek_time() is None
+    assert s.pending == model.pending == 0
+    assert len(real.log) == s.events_processed
